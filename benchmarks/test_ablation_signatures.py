@@ -1,4 +1,4 @@
-"""Ablation: MAC vs digital-signature authentication (DESIGN.md section 5).
+"""Ablation: MAC vs digital-signature authentication.
 
 The paper's section 3 argument for MACs ("three orders of magnitude
 faster" than signatures, hence better scaling to large replica groups),

@@ -2,9 +2,9 @@
 
 Scope: the modules whose behaviour the sim substrate's parity tests pin
 (``sim/``, ``clbft/``, ``perpetual/``, ``ws/``, ``faults/``,
-``scenario/sim.py``, ``sharding/``, and the asyncio substrate
-``runtime/aio.py``). On this code, wall-clock reads, ambient
-randomness, unordered iteration that reaches the wire, identity-keyed
+``scenario/sim.py``, ``sharding/``, the asyncio substrate
+``runtime/aio.py``, and the live node env ``runtime/host.py``). On this
+code, wall-clock reads, ambient randomness, unordered iteration that reaches the wire, identity-keyed
 match state, and bare asyncio sleeps/loop-clock reads are exactly the
 constructs that break same-seed replay — each gets its own rule so
 suppressions stay precise.
@@ -34,6 +34,7 @@ DETERMINISM_SCOPE = (
     "scenario/sim.py",
     "sharding/",
     "runtime/aio.py",
+    "runtime/host.py",
 )
 
 #: The one module allowed to touch the ``random`` module: the seeded

@@ -22,7 +22,7 @@ from repro.clbft.messages import (
 from repro.clbft.replica import ClbftReplica
 from repro.crypto.cost import CryptoCostModel, MAC_COST_MODEL
 from repro.crypto.keys import KeyStore
-from repro.sim.kernel import ProtocolNode, SimNodeEnv, Simulator
+from repro.sim.kernel import ProtocolNode, SimNodeEnv
 from repro.transport.channel import ChannelAdapter
 from repro.transport.connection import SimConnection
 from repro.transport.wire import WireEnvelope
@@ -204,45 +204,3 @@ def _index_of(principal: str) -> int | None:
         return None
     return int(tail)
 
-
-def build_clbft_group(
-    sim: Simulator,
-    group: str,
-    config: GroupConfig,
-    keys: KeyStore,
-    execute: Callable[[int, ClientRequest], Any],
-    execute_cost_us: int = 0,
-    cost_model: CryptoCostModel = MAC_COST_MODEL,
-) -> list[ClbftReplicaNode]:
-    """Deploy a full CLBFT group on the simulator; returns the nodes."""
-    nodes = []
-    for index in range(config.n):
-        node = ClbftReplicaNode(
-            group=group,
-            index=index,
-            config=config,
-            keys=keys,
-            execute=execute,
-            execute_cost_us=execute_cost_us,
-            cost_model=cost_model,
-        )
-        env = sim.add_node(replica_name(group, index), node)
-        node.attach(env)
-        nodes.append(node)
-    return nodes
-
-
-def build_clbft_client(
-    sim: Simulator,
-    group: str,
-    name: str,
-    config: GroupConfig,
-    keys: KeyStore,
-    on_result: Callable[[int, Any], None] | None = None,
-) -> ClbftClientNode:
-    node = ClbftClientNode(
-        group=group, name=name, config=config, keys=keys, on_result=on_result
-    )
-    env = sim.add_node(node.name, node)
-    node.attach(env)
-    return node

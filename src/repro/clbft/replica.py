@@ -559,8 +559,10 @@ class ClbftReplica:
         METRICS.view_changes += 1
         min_s = max(v.stable_seqno for v in votes)
         if min_s > self.log.stable_seqno:
-            # Adopt the proven stable checkpoint (state transfer is modelled
-            # as instantaneous; see DESIGN.md section 2).
+            # Adopt the proven stable checkpoint's seqno. Application state
+            # transfer is not modelled: a replica that lagged behind the
+            # checkpoint skips to it without the state it missed (the
+            # replica-state open item in ROADMAP.md).
             self.log.stable_seqno = min_s
             self.log._garbage_collect()
             self._stable_advanced()

@@ -1,13 +1,12 @@
 """An asyncio cluster hosting the same protocol nodes as the simulator.
 
 Every voter and driver gets an :class:`asyncio.Queue` inbox drained by
-one consumer task, all sharing a single event loop — the single-loop
-replica shape of the flexible-BFT lineage: cheaper than one OS thread
-per node at high node counts, and the natural seat for socket I/O. The
-per-node environment exposes the same duck-typed surface as
-:class:`repro.sim.kernel.SimNodeEnv` (``send``, ``local_deliver``,
-``set_timer``, ``cancel_timer``, ``now_us``, ``now_ms``, ``charge``), so
-voters, drivers, and CLBFT nodes run unchanged.
+one consumer task through the shared handler step, all sharing a single
+event loop — the single-loop replica shape of the flexible-BFT lineage:
+cheaper than one OS thread per node at high node counts, and the natural
+seat for socket I/O. Nodes get the shared
+:class:`~repro.runtime.host.LiveEnv`, so voters, drivers, and CLBFT
+nodes run unchanged.
 
 Timers map onto the loop: ``set_timer`` is an :meth:`asyncio.loop
 .call_later` handle keyed ``(node_key, tag)``; re-arming cancels the old
@@ -17,14 +16,16 @@ exactly the ordering contract the threaded wheel provides.
 
 Handlers are synchronous protocol code. Because the loop is single
 threaded, only one handler runs at a time; concurrency here is the
-*interleaving* of node tasks, not parallelism. ``charge`` is a no-op:
-real CPU time is real.
+*interleaving* of node tasks, not parallelism.
 
-This module is the substrate only; deploy onto it through the scenario
-API (:mod:`repro.scenario`, ``runtime="asyncio"``) rather than wiring
-nodes by hand. The scenario layer owns the loop's lifecycle: it calls
-:meth:`AioCluster.bind_running_loop` from inside the loop, spawns the
-consumer tasks into a task group, and stops the cluster at quiescence.
+Two substrates run this cluster: ``runtime="asyncio"`` hosts every node
+on one loop, and each ``runtime="process"`` worker hosts its
+voter/driver pair on its own loop, passing a ``remote`` writer that
+carries posts to non-local nodes out through the worker's connection.
+Deploy through the scenario API (:mod:`repro.scenario`) rather than
+wiring nodes by hand. The owner of the loop calls
+:meth:`AioCluster.bind_running_loop` from inside it, spawns the consumer
+tasks into a task group, and stops the cluster when done.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable
 
+from repro.runtime.host import START, LiveEnv, handle
 from repro.sim.kernel import ProtocolNode
 
 _STOP = object()
@@ -95,42 +97,6 @@ class _AioTimerTable:
         self._pending.clear()
 
 
-class _AioEnv:
-    """Per-node environment with the SimNodeEnv surface."""
-
-    def __init__(self, cluster: "AioCluster", node_id: Any) -> None:
-        self._cluster = cluster
-        self.node_id = node_id
-        self._key = str(node_id)
-
-    def now_us(self) -> int:
-        return self._cluster.now_us()
-
-    def now_ms(self) -> int:
-        return self.now_us() // 1000
-
-    def charge(self, cpu_us: int) -> None:
-        """No-op: on a real event loop, CPU time is consumed by running."""
-
-    def send(self, dst: Any, msg: Any, size_bytes: int = 256) -> None:
-        self._cluster.post(self._key, str(dst), msg)
-
-    def local_deliver(self, dst: Any, msg: Any) -> None:
-        self._cluster.post(self._key, str(dst), msg)
-
-    def set_timer(self, tag: Any, delay_us: int) -> None:
-        self._cluster.timers.set_timer(
-            self._key, tag, delay_us,
-            lambda t: self._cluster.post_timer(self._key, t),
-        )
-
-    def cancel_timer(self, tag: Any) -> None:
-        self._cluster.timers.cancel_timer(self._key, tag)
-
-    def timer_armed(self, tag: Any) -> bool:  # pragma: no cover - parity
-        return self._cluster.timers.armed(self._key, tag)
-
-
 class _AioNodeWorker:
     """One consumer task per node: inbox in, handler calls out."""
 
@@ -141,7 +107,6 @@ class _AioNodeWorker:
         #: (and ``put_nowait`` into) before the loop exists.
         self.inbox: asyncio.Queue = asyncio.Queue()
         self.errors: list[BaseException] = []
-        self.task: asyncio.Task | None = None
 
 
 class AioCluster:
@@ -157,9 +122,14 @@ class AioCluster:
     threaded substrate has to settle over.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, remote: Callable[[str, str, Any], None] | None = None
+    ) -> None:
         self.timers = _AioTimerTable()
         self._workers: dict[str, _AioNodeWorker] = {}
+        #: Where posts to nodes this cluster does not host go (a process
+        #: worker's connection writer); ``None`` drops them.
+        self._remote = remote
         self.dropped: set[str] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._epoch = 0.0
@@ -171,10 +141,10 @@ class AioCluster:
     # -- deploy-time surface -------------------------------------------
 
     def add_node(self, node_id: Any, node: ProtocolNode,
-                 host: str | None = None) -> _AioEnv:
+                 host: str | None = None) -> LiveEnv:
         key = str(node_id)
         self._workers[key] = _AioNodeWorker(key, node)
-        return _AioEnv(self, node_id)
+        return LiveEnv(self, node_id)
 
     def drop_node(self, node_id: Any) -> None:
         """Crash a node: it stops sending and receiving."""
@@ -195,7 +165,7 @@ class AioCluster:
 
     def spawn(self, task_group: asyncio.TaskGroup) -> None:
         for worker in self._workers.values():
-            worker.task = task_group.create_task(self._consume(worker))
+            task_group.create_task(self._consume(worker))
 
     def request_stop(self) -> None:
         """Stop every consumer after its queued work; disarm timers."""
@@ -204,37 +174,18 @@ class AioCluster:
             worker.inbox.put_nowait(_STOP)
 
     async def _consume(self, worker: _AioNodeWorker) -> None:
-        # Tick batching: a handler's buffered channel output is released
-        # as soon as its handler returns — one inbox dequeue is the
-        # asyncio analogue of a kernel tick. Window batching instead
-        # arms a flush timer through set_timer, which lands here as a
-        # timer event like any other.
-        node = worker.node
-        flush = node.on_flush if node.wants_flush else None
-        try:
-            node.on_start()
-            if flush is not None:
-                flush()
-        except Exception as exc:  # pragma: no cover - diagnostics
-            worker.errors.append(exc)
-        finally:
-            self._started_nodes += 1
+        # One inbox dequeue is the asyncio analogue of a kernel tick.
+        # Window batching arms a flush timer through set_timer, which
+        # lands here as a timer event like any other.
+        node, errors, inbox = worker.node, worker.errors, worker.inbox
+        handle(node, START, errors)
+        self._started_nodes += 1
         while True:
-            item = await worker.inbox.get()
+            item = await inbox.get()
             if item is _STOP:
                 return
-            kind, src, payload = item
-            try:
-                if kind == "msg":
-                    node.on_message(src, payload)
-                else:
-                    node.on_timer(payload)
-                if flush is not None:
-                    flush()
-            except Exception as exc:
-                worker.errors.append(exc)
-            finally:
-                self._unprocessed -= 1
+            handle(node, item, errors)
+            self._unprocessed -= 1
 
     # -- event posting --------------------------------------------------
 
@@ -250,6 +201,8 @@ class AioCluster:
         if worker is not None:
             worker.inbox.put_nowait(("msg", src, msg))
             self._unprocessed += 1
+        elif self._remote is not None:
+            self._remote(src, dst, msg)
 
     def post_timer(self, node_key: str, tag: Any) -> None:
         if node_key in self.dropped:

@@ -1,14 +1,15 @@
 """A threaded cluster hosting the same protocol nodes as the simulator.
 
-Each node gets one consumer thread draining a thread-safe mailbox; a
-shared timer wheel thread services ``set_timer``. The environment object
-exposes the same duck-typed surface as :class:`repro.sim.kernel.SimNodeEnv`
-(``send``, ``local_deliver``, ``set_timer``, ``cancel_timer``, ``now_us``,
-``now_ms``, ``charge``), so voters, drivers, and CLBFT nodes run unchanged.
+Each node gets one consumer thread draining a thread-safe mailbox
+through the shared handler step, and the shared
+:class:`~repro.runtime.host.LiveEnv` (the
+:class:`repro.sim.kernel.SimNodeEnv` surface), so voters, drivers, and
+CLBFT nodes run unchanged. Timers live on one wheel thread, the one
+piece threads need that an event loop does not.
 
-``charge`` is a no-op here: real CPU time is real. Determinism holds per
-replica (the protocol guarantees it), but event interleaving across nodes
-is genuinely racy — which is the point of testing on this substrate.
+Determinism holds per replica (the protocol guarantees it), but event
+interleaving across nodes is genuinely racy — which is the point of
+testing on this substrate.
 
 This module is the substrate only; deploy onto it through the scenario
 API (:mod:`repro.scenario`, ``runtime="threaded"``) rather than wiring
@@ -24,6 +25,7 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.runtime.host import START, LiveEnv, handle
 from repro.runtime.sanitizer import guarded_dict, guarded_list, guarded_set
 from repro.sim.kernel import ProtocolNode
 
@@ -63,6 +65,10 @@ class _TimerWheel:
             if entry is not None:
                 entry["cancelled"] = True
 
+    def armed(self, node_key: str, tag: Any) -> bool:
+        with self._cv:
+            return (node_key, tag) in self._entries
+
     def armed_count(self) -> int:
         """Timers currently armed (set, not yet fired or cancelled)."""
         with self._cv:
@@ -101,42 +107,6 @@ class _TimerWheel:
                 pass
 
 
-class _ThreadedEnv:
-    """Per-node environment with the SimNodeEnv surface."""
-
-    def __init__(self, cluster: "ThreadedCluster", node_id: Any) -> None:
-        self._cluster = cluster
-        self.node_id = node_id
-        self._key = str(node_id)
-
-    def now_us(self) -> int:
-        return int((time.monotonic() - self._cluster.epoch) * 1_000_000)
-
-    def now_ms(self) -> int:
-        return self.now_us() // 1000
-
-    def charge(self, cpu_us: int) -> None:
-        """No-op: on real threads, CPU time is consumed by running."""
-
-    def send(self, dst: Any, msg: Any, size_bytes: int = 256) -> None:
-        self._cluster.post(self._key, str(dst), msg)
-
-    def local_deliver(self, dst: Any, msg: Any) -> None:
-        self._cluster.post(self._key, str(dst), msg)
-
-    def set_timer(self, tag: Any, delay_us: int) -> None:
-        self._cluster.timers.set_timer(
-            self._key, tag, delay_us,
-            lambda t: self._cluster.post_timer(self._key, t),
-        )
-
-    def cancel_timer(self, tag: Any) -> None:
-        self._cluster.timers.cancel_timer(self._key, tag)
-
-    def timer_armed(self, tag: Any) -> bool:  # pragma: no cover - parity
-        return (self._key, tag) in self._cluster.timers._entries
-
-
 class _NodeWorker:
     """One consumer thread per node: mailbox in, handler calls out."""
 
@@ -160,30 +130,12 @@ class _NodeWorker:
             self._thread.start()
 
     def _run(self) -> None:
-        # Tick batching: a handler's buffered channel output is released
-        # as soon as its handler returns — the worker thread's dequeue
-        # loop is the threaded analogue of a kernel tick.
-        flush = self.node.on_flush if self.node.wants_flush else None
-        try:
-            self.node.on_start()
-            if flush is not None:
-                flush()
-        except Exception as exc:  # pragma: no cover - diagnostics
-            self.errors.append(exc)
+        handle(self.node, START, self.errors)
         while True:
             item = self.mailbox.get()
             if item is _STOP:
                 return
-            kind, src, payload = item
-            try:
-                if kind == "msg":
-                    self.node.on_message(src, payload)
-                else:
-                    self.node.on_timer(payload)
-                if flush is not None:
-                    flush()
-            except Exception as exc:
-                self.errors.append(exc)
+            handle(self.node, item, self.errors)
 
 
 _STOP = object()
@@ -216,12 +168,15 @@ class ThreadedCluster:
         self._workers[key] = worker
         if self._started:
             worker.start()
-        return _ThreadedEnv(self, node_id)
+        return LiveEnv(self, node_id)
 
     def start(self) -> None:
         self._started = True
         for worker in self._workers.values():
             worker.start()
+
+    def now_us(self) -> int:
+        return int((time.monotonic() - self.epoch) * 1_000_000)
 
     def post(self, src: str, dst: str, msg: Any) -> None:
         if dst in self.dropped or src in self.dropped:

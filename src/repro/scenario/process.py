@@ -3,9 +3,15 @@
 ``ProcessRuntime`` places each replica's co-located voter/driver pair in
 its own ``multiprocessing`` process, exactly the paper's placement of
 both halves on one machine. Everything that crosses a process boundary
-is a fused-codec :class:`~repro.transport.wire.WireEnvelope` — PR 1 made
-that codec the full serialisation boundary, so protocol code runs
+is a fused-codec :class:`~repro.transport.wire.WireEnvelope` — that
+codec is the full serialisation boundary, so protocol code runs
 unchanged; local voter<->driver traffic stays inside the worker.
+
+Each worker runs the asyncio host: an
+:class:`~repro.runtime.aio.AioCluster` on the worker's own event loop,
+with a loop reader serving the worker's connection. Posts to non-local
+nodes leave through that connection as protocol frames, and only wire
+envelopes may do so.
 
 Wiring:
 
@@ -32,7 +38,7 @@ Wiring:
   per worker) or ``"tcp"``, where the parent listens on an ephemeral
   localhost port and every worker dials back and speaks the same frames
   through the length-prefixed :class:`~repro.transport.socket_frame
-  .SocketConnection`. The router, egress writer, and worker loop are
+  .SocketConnection`. The router, egress writer, and worker reader are
   byte-for-byte shared between the two — tcp is the off-box stepping
   stone (swap ``127.0.0.1`` for real host addresses and the same
   scenarios run across machines);
@@ -50,19 +56,20 @@ numbers are current even after ``run`` returned early.
 
 from __future__ import annotations
 
-import heapq
+import asyncio
 import multiprocessing
 import os
 import queue
 import socket
 import threading
 import time
-from collections import deque
 from multiprocessing.connection import Connection, wait as connection_wait
+from typing import Callable
 
 from repro.common.encoding import canonical_encode, clear_wire_caches, decode_payload
 from repro.common.errors import ConfigurationError
 from repro.faults import require_supported_kinds
+from repro.runtime.aio import AioCluster
 from repro.scenario.runtime import (
     Runtime,
     ScenarioMetrics,
@@ -117,179 +124,52 @@ def _split_net_frame(data: bytes) -> tuple[str, str, bytes]:
 # ---------------------------------------------------------------------------
 
 
-class _WorkerEnv:
-    """Per-node environment with the SimNodeEnv surface, pipe-backed."""
+async def _serve(cluster: AioCluster, conn, stats: Callable[[], dict]) -> None:
+    """Serve the worker's connection and node tasks on one event loop.
 
-    def __init__(self, host: "_WorkerHost", node_id) -> None:
-        self._host = host
-        self.node_id = node_id
-        self._key = str(node_id)
+    A loop reader drains every complete frame per wakeup (a framed
+    socket may hold several decoded frames once its fd is no longer
+    readable): net frames post into the destination node's inbox, ``go``
+    binds the cluster clock and spawns the node consumers, and ``poll``
+    / ``stop`` answer with a stats frame. ``stop`` (or a lost parent)
+    ends the reader and stops the cluster.
+    """
+    loop = asyncio.get_running_loop()
+    done = loop.create_future()
 
-    def now_us(self) -> int:
-        return int((time.monotonic() - self._host.epoch) * 1_000_000)
-
-    def now_ms(self) -> int:
-        return self.now_us() // 1000
-
-    def charge(self, cpu_us: int) -> None:
-        """No-op: on a real process, CPU time is consumed by running."""
-
-    def send(self, dst, msg, size_bytes: int = 256) -> None:
-        self._host.dispatch(self._key, str(dst), msg)
-
-    def local_deliver(self, dst, msg) -> None:
-        self._host.enqueue_local(self._key, str(dst), msg)
-
-    def set_timer(self, tag, delay_us: int) -> None:
-        self._host.set_timer(self._key, tag, delay_us)
-
-    def cancel_timer(self, tag) -> None:
-        self._host.cancel_timer(self._key, tag)
-
-    def timer_armed(self, tag) -> bool:
-        return (self._key, tag) in self._host.timer_entries
-
-
-class _WorkerHost:
-    """One worker process: a voter/driver pair plus its event loop."""
-
-    def __init__(self, conn: Connection) -> None:
-        self.conn = conn
-        self.epoch = time.monotonic()
-        self.nodes: dict[str, object] = {}
-        self.local: deque[tuple[str, str, object]] = deque()
-        self.timer_heap: list[tuple[float, int, str, object, dict]] = []
-        self.timer_entries: dict[tuple[str, object], dict] = {}
-        self._timer_seq = 0
-        self.errors: list[str] = []
-        self.flush_nodes: dict[str, object] = {}
-
-    def add_node(self, node_id, node) -> _WorkerEnv:
-        key = str(node_id)
-        self.nodes[key] = node
-        if getattr(node, "wants_flush", False):
-            self.flush_nodes[key] = node
-        return _WorkerEnv(self, node_id)
-
-    # -- node-facing plumbing ------------------------------------------------
-
-    def dispatch(self, src: str, dst: str, msg) -> None:
-        if dst in self.nodes:
-            self.local.append((src, dst, msg))
-            return
-        if not isinstance(msg, (WireEnvelope, BatchEnvelope)):
-            raise ConfigurationError(
-                f"only wire envelopes may cross process boundaries, "
-                f"got {type(msg).__name__} for {dst!r}"
-            )
-        self.conn.send_bytes(_net_frame(src, dst, msg))
-
-    def enqueue_local(self, src: str, dst: str, msg) -> None:
-        self.local.append((src, dst, msg))
-
-    def set_timer(self, node_key: str, tag, delay_us: int) -> None:
-        self.cancel_timer(node_key, tag)
-        entry = {"cancelled": False}
-        self.timer_entries[(node_key, tag)] = entry
-        self._timer_seq += 1
-        heapq.heappush(
-            self.timer_heap,
-            (
-                time.monotonic() + delay_us / 1_000_000.0,
-                self._timer_seq,
-                node_key,
-                tag,
-                entry,
-            ),
-        )
-
-    def cancel_timer(self, node_key: str, tag) -> None:
-        entry = self.timer_entries.pop((node_key, tag), None)
-        if entry is not None:
-            entry["cancelled"] = True
-
-    # -- event loop ----------------------------------------------------------
-
-    def _deliver_local(self) -> None:
-        # Tick batching: buffered channel output departs when the handler
-        # that produced it returns, mirroring the simulator's kernel tick.
-        flush_nodes = self.flush_nodes
-        while self.local:
-            src, dst, msg = self.local.popleft()
-            node = self.nodes.get(dst)
-            if node is None:
-                continue
-            try:
-                node.on_message(src, msg)
-                flusher = flush_nodes.get(dst)
-                if flusher is not None:
-                    flusher.on_flush()
-            except Exception as exc:  # a faulty node must not kill the loop
-                self.errors.append(repr(exc))
-        now = time.monotonic()
-        while self.timer_heap and self.timer_heap[0][0] <= now:
-            _, _, node_key, tag, entry = heapq.heappop(self.timer_heap)
-            if entry["cancelled"]:
-                continue
-            self.timer_entries.pop((node_key, tag), None)
-            try:
-                self.nodes[node_key].on_timer(tag)
-                flusher = flush_nodes.get(node_key)
-                if flusher is not None:
-                    flusher.on_flush()
-            except Exception as exc:
-                self.errors.append(repr(exc))
-
-    def loop(self, stats) -> None:
-        """Serve frames and timers until the parent says stop."""
-        while True:
-            self._deliver_local()
-            if self.local:
-                timeout = 0.0
-            elif self.timer_heap:
-                timeout = min(
-                    max(self.timer_heap[0][0] - time.monotonic(), 0.0), 0.05
-                )
-            else:
-                timeout = 0.05
-            if not self.conn.poll(timeout):
-                continue
-            # Drain every pending frame before handling, so inbound pipe
-            # pressure is released promptly.
-            frames = []
-            try:
-                while True:
-                    frames.append(self.conn.recv_bytes())
-                    if not self.conn.poll(0):
-                        break
-            except (EOFError, OSError, FrameError):
-                return
-            for data in frames:
+    def on_readable() -> None:
+        try:
+            while conn.poll(0):
+                data = conn.recv_bytes()
                 if data.startswith(_NET):
                     src, dst, payload = _split_net_frame(data)
-                    self.local.append(
-                        (src, dst, envelope_from_wire(decode_payload(payload)))
+                    cluster.post(
+                        src, dst, envelope_from_wire(decode_payload(payload))
                     )
                     continue
-                frame = decode_payload(data)
-                kind = frame[0]
+                kind = decode_payload(data)[0]
                 if kind == "go":
-                    self.epoch = time.monotonic()
-                    for key, node in self.nodes.items():
-                        try:
-                            node.on_start()
-                            flusher = self.flush_nodes.get(key)
-                            if flusher is not None:
-                                flusher.on_flush()
-                        except Exception as exc:
-                            self.errors.append(repr(exc))
-                elif kind == "poll":
-                    self.conn.send_bytes(_frame("stats", stats()))
-                elif kind == "stop":
-                    self.conn.send_bytes(_frame("stats", stats()))
-                    self.conn.send_bytes(_frame("bye"))
-                    return
-            self._deliver_local()
+                    cluster.bind_running_loop()
+                    cluster.spawn(task_group)
+                elif kind in ("poll", "stop"):
+                    conn.send_bytes(_frame("stats", stats()))
+                if kind == "stop":
+                    conn.send_bytes(_frame("bye"))
+                    break
+            else:
+                return
+        except (EOFError, OSError, FrameError):
+            pass
+        if not done.done():
+            done.set_result(None)
+
+    async with asyncio.TaskGroup() as task_group:
+        loop.add_reader(conn.fileno(), on_readable)
+        try:
+            await done
+        finally:
+            loop.remove_reader(conn.fileno())
+            cluster.request_stop()
 
 
 def _worker_main(
@@ -348,7 +228,15 @@ def _worker_main(
     # so the adversary layer is identical to the in-process substrates.
     fault_plan = FaultPlan.from_spec(spec)
 
-    host = _WorkerHost(conn)
+    def send_remote(src: str, dst: str, msg) -> None:
+        if not isinstance(msg, (WireEnvelope, BatchEnvelope)):
+            raise ConfigurationError(
+                f"only wire envelopes may cross process boundaries, "
+                f"got {type(msg).__name__} for {dst!r}"
+            )
+        conn.send_bytes(_net_frame(src, dst, msg))
+
+    cluster = AioCluster(remote=send_remote)
     adapters: list[WsAdapter] = []
     voter, driver = build_replica(
         topology=topology,
@@ -365,14 +253,14 @@ def _worker_main(
             router.group_for_service(service) if router is not None else None
         ),
     )
-    voter.attach(host.add_node(voter_name(service, index), voter))
-    driver.attach(host.add_node(driver_name(service, index), driver))
+    voter.attach(cluster.add_node(voter_name(service, index), voter))
+    driver.attach(cluster.add_node(driver_name(service, index), driver))
 
     def stats() -> dict:
         data = {
             "pid": os.getpid(),
             "in_flight": driver.in_flight_calls,
-            "timers_armed": len(host.timer_entries),
+            "timers_armed": cluster.timers_armed(),
             "completed_calls": driver.completed_calls,
             "aborted_calls": driver.aborted_calls,
             "delivered_requests": voter.delivered_requests,
@@ -382,7 +270,7 @@ def _worker_main(
             "view_changes": voter.replica.view_changes_completed,
             "reply_cache_size": voter.reply_cache_size,
             "counters": METRICS.snapshot(),
-            "errors": list(host.errors),
+            "errors": [repr(exc) for exc in cluster.errors()],
         }
         if built.probe is not None:
             data["app"] = built.probe()
@@ -390,7 +278,7 @@ def _worker_main(
 
     conn.send_bytes(_frame("ready", service, index))
     try:
-        host.loop(stats)
+        asyncio.run(_serve(cluster, conn, stats))
     finally:
         conn.close()
 

@@ -148,7 +148,7 @@ class Deployment:
         self._ensure_declared(name, n)
         adapters: list[WsAdapter] = []
         group = deploy_service(
-            sim=self.sim,
+            cluster=self.sim,
             topology=self.topology,
             keys=self.keys,
             service=name,
@@ -180,7 +180,7 @@ class Deployment:
         """Deploy an executor-level application (no SOAP layer)."""
         self._ensure_declared(name, n)
         group = deploy_service(
-            sim=self.sim,
+            cluster=self.sim,
             topology=self.topology,
             keys=self.keys,
             service=name,

@@ -28,10 +28,9 @@ from repro.common.encoding import clear_wire_caches
 from repro.common.metrics import METRICS
 from repro.crypto.keys import KeyStore
 from repro.faults import FaultPlan, require_supported_kinds
-from repro.perpetual.group import ServiceGroup, Topology
+from repro.perpetual.group import ServiceGroup, Topology, deploy_service
 from repro.perpetual.voter import driver_name, voter_name
 from repro.runtime.cluster import ThreadedCluster
-from repro.runtime.deploy import deploy_threaded_service
 from repro.scenario.apps import BuiltApp, build_app, scenario_cost_model
 from repro.scenario.runtime import (
     Runtime,
@@ -93,7 +92,7 @@ class ThreadedRuntime(Runtime):
             built = build_app(decl.app)
             self._adapters[decl.name] = []
             self._probes[decl.name] = built.probe
-            self._groups[decl.name] = deploy_threaded_service(
+            self._groups[decl.name] = deploy_service(
                 cluster,
                 topology,
                 keys,

@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from repro.perpetual.driver import RETRANSMIT_TIMEOUT_US
 from repro.scenario.presets import echo_parity_scenario
 from repro.scenario.process import ProcessRuntime
 from repro.scenario.runtime import get_runtime, run_scenario
@@ -24,6 +25,30 @@ def test_sim_runtime_is_deterministic():
     assert a.now_us == b.now_us
     assert a.services["caller"].last_completion_us == \
         b.services["caller"].last_completion_us
+
+
+def _retransmit_timeouts(runtime_name: str) -> set[int]:
+    """Every deployed driver's base retransmit timeout on one runtime."""
+    runtime = get_runtime(runtime_name)
+    runtime.deploy(echo_parity_scenario(n=4, total_calls=1, name="rtx"))
+    try:
+        if runtime_name == "sim":
+            groups = [d.group for d in runtime.deployment.services.values()]
+        else:
+            groups = list(runtime._groups.values())
+        return {
+            driver._retransmit_timeout_us
+            for group in groups for driver in group.drivers
+        }
+    finally:
+        runtime.shutdown()
+
+
+@pytest.mark.parametrize("runtime", ["threaded", "asyncio"])
+def test_live_drivers_share_the_sim_retransmit_timeout(runtime):
+    # One deploy path: every substrate leaves drivers on the default.
+    assert _retransmit_timeouts("sim") == {RETRANSMIT_TIMEOUT_US}
+    assert _retransmit_timeouts(runtime) == {RETRANSMIT_TIMEOUT_US}
 
 
 def test_process_runtime_smoke_uses_real_processes():

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Pre-merge gate: static analysis clean, docs in sync, then tier-1 passes.
+# Pre-merge gate: static analysis clean, docs in sync, then tier-1 and the
+# net-marked socket tests pass.
 # Run from the repo root:  sh tools/check.sh
-# Fast mode (analysis + docs + unit tests only, skips integration):
+# Fast mode (analysis + docs + unit tests only, skips integration and net):
 #   sh tools/check.sh --fast
 set -e
 
@@ -27,6 +28,8 @@ if [ "$FAST" = 1 ]; then
 else
     echo "== tier-1 tests (soak + net excluded) =="
     python -m pytest -x -q
+    echo "== localhost TCP-socket (net) tests =="
+    python -m pytest -q -m net
 fi
 
 echo "== all gates passed =="
