@@ -5,8 +5,8 @@ package is the laptop-scale substitute: protocol nodes are sans-IO state
 machines and this kernel supplies everything the testbed did —
 
 - a virtual clock with microsecond resolution (:mod:`repro.sim.kernel`),
-- per-node CPUs that serialise work and make throughput saturate
-  (:mod:`repro.sim.kernel`, :class:`NodeCpu`),
+- per-host CPUs whose FIFO ready queues serialise work and make
+  throughput saturate (:mod:`repro.sim.kernel`, :class:`NodeCpu`),
 - a network with configurable latency and fault injection
   (:mod:`repro.sim.network`),
 - deterministic randomness (:mod:`repro.sim.rng`).

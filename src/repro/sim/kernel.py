@@ -15,6 +15,17 @@ has arrived and the host CPU is free; ``charge(us)`` extends the busy
 period; messages sent during handling depart at the charge-accumulated
 point of the send call.
 
+A handler that finds its host CPU busy joins the host's FIFO ready queue
+(:class:`NodeCpu`) and is never rescheduled. A non-empty queue has one heap
+entry, the host's *wake*, due when the CPU frees; it starts the head and
+re-arms at the new free time, so k waiting handlers cost k + 1 events, not
+O(k²) requeues. Tie rules: (1) waiting handlers start in arrival order;
+(2) after a zero-charge run the wake goes back on the heap with its own
+sequence number, so the next handler starts that same microsecond, ahead
+of events scheduled later; (3) a handler that pops at the wake's
+microsecond ahead of the wake and finds the CPU taken joins the *front*
+of the queue, in arrival order.
+
 The event queue is the innermost loop of every experiment, so it is kept
 lean: heap entries are plain ``(time_us, seq, payload)`` tuples (native
 tuple comparison, no dataclass ``__lt__``), where ``payload`` is the
@@ -28,6 +39,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from typing import Any, Callable
 
 from repro.common.errors import SimulationError
@@ -74,16 +86,21 @@ class ProtocolNode:
 
 
 class NodeCpu:
-    """Serialises the work of all nodes sharing one host CPU."""
+    """Serialises the work of all nodes sharing one host CPU.
 
-    __slots__ = ("free_at_us",)
+    ``ready`` is non-empty exactly while the wake is on the heap at
+    ``(wake_at_us, wake_seq)``; ``front`` counts tie-rule-3 arrivals.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("free_at_us", "ready", "wake_at_us", "wake_seq", "front", "wake")
+
+    def __init__(self, wake: Callable[["NodeCpu"], None]) -> None:
         self.free_at_us = 0
-
-    def begin(self, now_us: int) -> int:
-        """Return the time at which handling may start."""
-        return max(now_us, self.free_at_us)
+        self.ready: deque[tuple[str, Callable[[], None]]] = deque()
+        self.wake_at_us = -1
+        self.wake_seq = 0
+        self.front = 0
+        self.wake = lambda: wake(self)
 
 
 class Simulator:
@@ -98,7 +115,7 @@ class Simulator:
         self._nodes: dict[str, ProtocolNode] = {}
         self._envs: dict[str, "SimNodeEnv"] = {}
         self._cpus: dict[str, NodeCpu] = {}
-        self._node_cpu: dict[str, str] = {}
+        self._node_cpu: dict[str, NodeCpu] = {}
         self._network = None
         self._started = False
         self._cancelled_in_queue = 0
@@ -129,17 +146,16 @@ class Simulator:
         if key in self._nodes:
             raise SimulationError(f"duplicate node id: {key}")
         host_key = host if host is not None else key
-        self._cpus.setdefault(host_key, NodeCpu())
-        self._node_cpu[key] = host_key
+        cpu = self._cpus.get(host_key)
+        if cpu is None:
+            cpu = self._cpus[host_key] = NodeCpu(self._wake)
+        self._node_cpu[key] = cpu
         env = SimNodeEnv(self, node_id)
         self._nodes[key] = node
         self._envs[key] = env
         if getattr(node, "wants_flush", False):
             self._flush_nodes[key] = node
         return env
-
-    def node(self, node_id: Any) -> ProtocolNode:
-        return self._nodes[str(node_id)]
 
     def env(self, node_id: Any) -> "SimNodeEnv":
         return self._envs[str(node_id)]
@@ -229,20 +245,43 @@ class Simulator:
         self._run_handler(node_key, lambda: node.on_timer(tag))
 
     def _run_handler(self, node_key: str, handler: Callable[[], None]) -> None:
-        """Run a node handler with CPU accounting.
+        """Run a node handler now if its host CPU is free, else queue it."""
+        cpu = self._node_cpu[node_key]
+        now_us = self._now_us
+        if cpu.free_at_us <= now_us:
+            self._handle(cpu, node_key, handler, now_us)
+        elif cpu.wake_at_us == now_us:  # popped ahead of the wake: tie rule 3
+            cpu.ready.insert(cpu.front, (node_key, handler))
+            cpu.front += 1
+        else:
+            cpu.ready.append((node_key, handler))
+            if cpu.wake_at_us < 0:
+                self._arm_wake(cpu)
 
-        Handling starts when the host CPU frees up; ``charge`` calls made
-        by the handler extend the busy window; buffered sends depart at
-        the accumulated charge point.
-        """
+    def _wake(self, cpu: NodeCpu) -> None:
+        """The host's wake: start the head of its ready queue."""
+        now_us = self._now_us
+        cpu.front = 0
+        if cpu.free_at_us <= now_us:
+            self._handle(cpu, *cpu.ready.popleft(), now_us)
+            if not cpu.ready:
+                cpu.wake_at_us = -1
+                return
+            if cpu.free_at_us == now_us:  # zero-charge run: tie rule 2
+                heapq.heappush(self._queue, (now_us, cpu.wake_seq, cpu.wake))
+                return
+        self._arm_wake(cpu)
+
+    def _arm_wake(self, cpu: NodeCpu) -> None:
+        seq = next(self._seq)
+        cpu.wake_at_us = cpu.free_at_us
+        cpu.wake_seq = seq
+        heapq.heappush(self._queue, (cpu.free_at_us, seq, cpu.wake))
+
+    def _handle(self, cpu: NodeCpu, node_key: str, handler, start_us: int) -> None:
+        """Run a handler from ``start_us``: ``charge`` extends the busy
+        window; buffered sends depart at the accumulated charge point."""
         env = self._envs[node_key]
-        cpu = self._cpus[self._node_cpu[node_key]]
-        start_us = cpu.begin(self._now_us)
-        if start_us > self._now_us:
-            # CPU is busy: requeue the handling to when it frees up. The
-            # requeued event re-checks, so chained busy periods work.
-            self.schedule_at(start_us, lambda: self._run_handler(node_key, handler))
-            return
         env.begin_handling(start_us)
         handler()
         flush_node = self._flush_nodes.get(node_key)
@@ -251,8 +290,7 @@ class Simulator:
             # inside the same busy window, so batched sends depart at the
             # handler's charge-accumulated point like any other send.
             flush_node.on_flush()
-        charged_us = env.end_handling()
-        cpu.free_at_us = start_us + charged_us
+        cpu.free_at_us = start_us + env.end_handling()
         for depart_at_us, dispatch in env.drain_outbox():
             self.schedule_at(depart_at_us, dispatch)
 
@@ -304,10 +342,6 @@ class Simulator:
             self.events_processed += processed
             METRICS.events_processed += processed
         return processed
-
-    def run_for(self, duration_us: int) -> int:
-        """Run for a window of simulated time from now."""
-        return self.run(until_us=self._now_us + duration_us)
 
 
 class SimNodeEnv:

@@ -238,3 +238,135 @@ class TestTimers:
         a.env.set_timer("y", 50)
         sim.run()
         assert [tag for tag, _ in a.timers] == ["y", "x"]
+
+
+class Worker(ProtocolNode):
+    """Logs ``(label, start_us)`` for every handler, then charges
+    ``costs.get(label, default_us)`` of CPU."""
+
+    def __init__(self, log, costs=None, default_us=0):
+        self.log = log
+        self.costs = costs or {}
+        self.default_us = default_us
+        self.env = None
+
+    def _run(self, label):
+        self.log.append((label, self.env.now_us()))
+        self.env.charge(self.costs.get(label, self.default_us))
+
+    def on_message(self, src, msg):
+        self._run(msg)
+
+    def on_timer(self, tag):
+        self._run(tag)
+
+
+def make_worker(sim, name, log, host=None, **kw):
+    node = Worker(log, **kw)
+    node.env = sim.add_node(name, node, host=host)
+    return node
+
+
+def send_at(sim, time_us, src, dst, msg):
+    sim.schedule_at(time_us, lambda: sim.env(src).send(dst, msg))
+
+
+class TestReadyQueue:
+    """Handlers that find their host CPU busy wait in one FIFO per host."""
+
+    def test_waiting_handlers_start_back_to_back_in_arrival_order(self):
+        sim = Simulator()
+        sim.set_network(UniformLatency(0))
+        make_node(sim, "src")
+        log = []
+        make_worker(sim, "busy", log, costs={"first": 1_000}, default_us=100)
+        send_at(sim, 0, "src", "busy", "first")
+        labels = ["m3", "m0", "m4", "m1", "m2"]
+        for i, label in enumerate(labels):
+            send_at(sim, 10 * (i + 1), "src", "busy", label)
+        sim.run()
+        assert log == [("first", 0)] + [
+            (label, 1_000 + 100 * i) for i, label in enumerate(labels)
+        ]
+
+    def test_zero_charge_head_lets_next_waiter_start_same_microsecond(self):
+        # "a" and "b" queue behind "first" until 150. "late" reaches the
+        # host at 150 too, but was scheduled after the wake. "a" charges
+        # nothing, so "b" still starts at 150 and "late" waits behind it
+        # (tie rule 2).
+        sim = Simulator()
+        sim.set_network(UniformLatency(50))
+        make_node(sim, "src")
+        log = []
+        make_worker(sim, "h", log, costs={"first": 100, "b": 50})
+        send_at(sim, 0, "src", "h", "first")
+        send_at(sim, 10, "src", "h", "a")
+        send_at(sim, 20, "src", "h", "b")
+        send_at(sim, 100, "src", "h", "late")
+        sim.run()
+        assert log == [("first", 50), ("a", 150), ("b", 150), ("late", 200)]
+
+    def test_arrival_ahead_of_wake_that_finds_cpu_taken_goes_first(self):
+        # Timers "p" and "q" are due at 100 and were scheduled before "w"
+        # queued (so before the wake). "p" takes the free CPU; "q" then
+        # finds it taken and goes ahead of "w" (tie rule 3).
+        sim = Simulator()
+        sim.set_network(UniformLatency(0))
+        make_node(sim, "src")
+        log = []
+        h = make_worker(sim, "h", log, costs={"first": 100}, default_us=10)
+        h.env.set_timer("p", 100)
+        h.env.set_timer("q", 100)
+        send_at(sim, 0, "src", "h", "first")
+        send_at(sim, 0, "src", "h", "w")
+        sim.run()
+        assert log == [("first", 0), ("p", 100), ("q", 110), ("w", 120)]
+
+    def test_voter_and_driver_on_one_host_share_one_queue(self):
+        sim = Simulator()
+        sim.set_network(UniformLatency(0))
+        make_node(sim, "src")
+        log = []
+        costs = {"busy": 100}
+        make_worker(sim, "r0/voter", log, host="r0", costs=costs, default_us=10)
+        make_worker(sim, "r0/driver", log, host="r0", costs=costs, default_us=10)
+        send_at(sim, 0, "src", "r0/voter", "busy")
+        send_at(sim, 10, "src", "r0/driver", "d1")
+        send_at(sim, 20, "src", "r0/voter", "v1")
+        send_at(sim, 30, "src", "r0/driver", "d2")
+        send_at(sim, 40, "src", "r0/voter", "v2")
+        sim.run()
+        assert log == [
+            ("busy", 0), ("d1", 100), ("v1", 110), ("d2", 120), ("v2", 130)
+        ]
+
+    def _queued_burst(self, log, k):
+        sim = Simulator()
+        sim.set_network(UniformLatency(0))
+        make_node(sim, "src")
+        make_worker(sim, "busy", log, default_us=10)
+        for i in range(k):
+            send_at(sim, 0, "src", "busy", i)
+        return sim
+
+    def test_max_events_stops_exactly_at_budget(self):
+        full_log = []
+        full = self._queued_burst(full_log, 10)
+        total = full.run()
+        stepped_log = []
+        stepped = self._queued_burst(stepped_log, 10)
+        assert stepped.run(max_events=7) == 7
+        assert stepped.events_processed == 7
+        while stepped.run(max_events=1) == 1:
+            pass
+        assert stepped.events_processed == total
+        assert stepped_log == full_log
+        assert [t for _, t in full_log] == [10 * i for i in range(10)]
+
+    def test_queued_handlers_cost_a_constant_number_of_events(self):
+        k = 200
+        log = []
+        sim = self._queued_burst(log, k)
+        sim.run()
+        assert [label for label, _ in log] == list(range(k))
+        assert sim.events_processed < 4 * k

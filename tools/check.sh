@@ -1,6 +1,7 @@
 #!/bin/sh
 # Pre-merge gate: static analysis clean, docs in sync, then tier-1 and the
-# net-marked socket tests pass.
+# net-marked socket tests pass, and a short sim-window benchmark run keeps
+# its reply check and its identical-op-counts-every-round check.
 # Run from the repo root:  sh tools/check.sh
 # Fast mode (analysis + docs + unit tests only, skips integration and net):
 #   sh tools/check.sh --fast
@@ -30,6 +31,8 @@ else
     python -m pytest -x -q
     echo "== localhost TCP-socket (net) tests =="
     python -m pytest -q -m net
+    echo "== perfbench sim-window smoke (replies + repeatable op counts) =="
+    python3 perfbench/run.py --workload sim-window --seed 1 --seconds 3 --trace 0
 fi
 
 echo "== all gates passed =="
