@@ -60,7 +60,11 @@ _CODEC_NAMES = frozenset(
     )
 )
 
-_DIGEST_NAMES = frozenset(("digest", "digest_hex"))
+#: Digest helpers WIRE002 flags, by defining module path.
+_DIGEST_ORIGINS = frozenset(
+    f"repro.crypto.digest.{name}"
+    for name in ("digest", "digest_hex", "key_digest")
+)
 
 
 def _allowed(module: str, allowlist: tuple[str, ...]) -> bool:
@@ -117,8 +121,8 @@ class DirectDigestRule(Rule):
     title = "no direct digest calls outside the wire/crypto layer"
     rationale = (
         "WireBlob.digest and WireEnvelope.payload_digest memoize one "
-        "digest per message; a bare digest()/digest_hex() call "
-        "recomputes per caller and silently defeats the digest-once "
+        "digest per message; a bare digest()/digest_hex()/key_digest() "
+        "call recomputes per caller and silently defeats the digest-once "
         "contract. Derived keys must be memoized (IdentityMemo) and "
         "documented with a suppression."
     )
@@ -134,8 +138,7 @@ class DirectDigestRule(Rule):
         digest_names = frozenset(
             name
             for name, origin in imports.names.items()
-            if origin
-            in ("repro.crypto.digest.digest", "repro.crypto.digest.digest_hex")
+            if origin in _DIGEST_ORIGINS
         )
         if not digest_names:
             return

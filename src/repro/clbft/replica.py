@@ -101,6 +101,9 @@ class ClbftReplica:
         self.view = 0
         self.log = MessageLog(config)
         self.next_seqno = 0
+        # Highest seqno pre-prepared in any view: once execution passes
+        # it, no pre-prepared entry awaits execution.
+        self._pp_high = 0
         self.in_view_change = False
         self.target_view = 0
 
@@ -187,6 +190,7 @@ class ClbftReplica:
             )
             entry = self.log.entry(self.view, self.next_seqno)
             entry.pre_prepare = pre_prepare
+            self._pp_high = max(self._pp_high, self.next_seqno)
             self._multicast(pre_prepare)
             # The primary's pre-prepare stands in for its prepare; with
             # n == 1 (unreplicated) the batch is instantly committed.
@@ -231,6 +235,7 @@ class ClbftReplica:
                 self._ensure_timer()
             return
         entry.pre_prepare = msg
+        self._pp_high = max(self._pp_high, msg.seqno)
         for request in msg.requests:
             key = request_key(request)
             self._pending.pop(key, None)
@@ -379,6 +384,8 @@ class ClbftReplica:
         # abandoned view's copy will never execute and must not keep the
         # view-change timer armed forever.
         last_executed = self.log.last_executed
+        if self._pp_high <= last_executed:
+            return bool(self._pending)  # no pre-prepared entry above it
         return bool(self._pending) or any(
             not entry.executed and entry.pre_prepare is not None
             and seqno > last_executed
@@ -570,6 +577,7 @@ class ClbftReplica:
         for pre_prepare in pre_prepares:
             entry = self.log.entry(new_view, pre_prepare.seqno)
             entry.pre_prepare = pre_prepare
+            self._pp_high = max(self._pp_high, pre_prepare.seqno)
             for request in pre_prepare.requests:
                 key = request_key(request)
                 self._pending.pop(key, None)

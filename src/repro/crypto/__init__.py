@@ -6,10 +6,12 @@ orders of magnitude faster" (section 3), which is what lets Perpetual-WS
 scale to larger replica groups. This package reproduces that design:
 
 - :mod:`repro.crypto.keys`    -- pairwise session keys between principals;
-- :mod:`repro.crypto.mac`     -- HMAC-SHA256 point-to-point MACs;
+- :mod:`repro.crypto.mac`     -- HMAC-SHA256 point-to-point MACs from
+  precomputed per-key schedules;
 - :mod:`repro.crypto.auth`    -- CLBFT-style authenticator vectors (one MAC
   per receiver) and verification;
-- :mod:`repro.crypto.digest`  -- canonical message digests;
+- :mod:`repro.crypto.digest`  -- canonical message digests, and the typed
+  key framing for values that never reach the wire;
 - :mod:`repro.crypto.cost`    -- the cost model (MAC vs signature) used by
   the simulator's crypto-time accounting and the ablation benchmark.
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
-from repro.clbft.messages import ClientRequest, encode_message, register
+from repro.clbft.messages import ClientRequest, register
 from repro.common.ids import RequestId, ServiceId
+from repro.crypto.digest import key_bytes
 
 # Agreement item kinds (the "op" dict carries a matching "kind" field).
 ITEM_REQUEST = "req"
@@ -198,15 +199,13 @@ def abort_item(request_id: RequestId) -> ClientRequest:
 
 
 def reply_auth_bytes(request_id: RequestId, result: Any) -> bytes:
-    """Canonical bytes both ends MAC for stage-5/6 reply vouchers.
+    """Bytes both ends MAC for stage-5/6 reply vouchers.
 
     Target voters sign these bytes for the calling drivers; calling
-    drivers recompute them from the bundle to verify each voucher.
+    drivers recompute them from the bundle to verify each voucher. They
+    never go on the wire, so a typed framing stands in for an encode.
     """
-    # analysis: allow(WIRE001) — MAC input, not a wire send: target
-    # voters and calling drivers must each derive these bytes from their
-    # own decoded values, so there is no shared blob to reuse
-    return encode_message((request_id, result))
+    return key_bytes(request_id, result)
 
 
 def item_kind(request: ClientRequest) -> str:

@@ -43,7 +43,7 @@ from repro.common.encoding import IdentityMemo, wire_blob
 from repro.common.ids import RequestId
 from repro.common.metrics import METRICS
 from repro.crypto.cost import CryptoCostModel, MAC_COST_MODEL
-from repro.crypto.digest import digest_hex
+from repro.crypto.digest import key_digest
 from repro.crypto.keys import KeyStore
 from repro.perpetual.messages import (
     ITEM_ABORT,
@@ -107,6 +107,9 @@ def principal_index(name: str) -> int | None:
 _REQUEST_KEYS = IdentityMemo()
 _SUBMISSION_KEYS = IdentityMemo()
 _ITEM_RESULT_KEYS = IdentityMemo()
+# Replica-independent parse of a stage-2 agreement item, shared by every
+# backup validating the same decoded item. It holds no MAC verdict.
+_REQUEST_PARSES = IdentityMemo()
 
 
 def request_match_key(req: OutRequest) -> str:
@@ -114,27 +117,25 @@ def request_match_key(req: OutRequest) -> str:
 
     Retries rotate ``responder_index`` and bump ``attempt``; copies still
     match if the logical request — id, caller, target, payload — agrees.
-    Keys are digests of the fused wire encoding; every voter derives them
-    with this same function, so only internal consistency matters.
+    Keys are digests of a typed framing (:func:`key_digest`), never sent;
+    every voter derives them with this same function, so only internal
+    consistency matters.
     """
-    # Key over a *subset* of the message (attempt/responder excluded),
-    # so no wire blob matches; memoized per message object above.
     return _REQUEST_KEYS.get(
         req,
-        lambda r: digest_hex(
-            encode_message(  # analysis: allow(WIRE001, WIRE002) — see note
-                ("out-request", r.request_id, r.caller, r.target, r.payload)
-            )
-        ),
+        # analysis: allow(WIRE002) — memoized per message object above
+        lambda r: key_digest(
+            "out-request", r.request_id, r.caller, r.target, r.payload
+        ).hex(),
     )
 
 
 def result_match_key(request_id: RequestId, result: Any, aborted: bool) -> str:
     # Key over the agreed (id, result, aborted) triple, which never
-    # crosses the wire in this exact shape; callers memoize
-    # (submission_match_key, reply-store dedup).
-    # analysis: allow(WIRE001, WIRE002)
-    return digest_hex(encode_message(("result", request_id, result, aborted)))
+    # crosses the wire; callers memoize (submission_match_key,
+    # item_result_key).
+    # analysis: allow(WIRE002)
+    return key_digest("result", request_id, result, aborted).hex()
 
 
 def submission_match_key(msg: ResultSubmission) -> str:
@@ -154,6 +155,37 @@ def item_result_key(item: ClientRequest) -> str:
             item_kind(it) == ITEM_ABORT,
         ),
     )
+
+
+def _parse_request_item(item: ClientRequest) -> tuple | None:
+    """The agreed request of a stage-2 item and ``(payload_digest, auth)``
+    per proof envelope, or ``None`` if the item is malformed: a proof copy
+    that is not an :class:`OutRequest` matching the agreed one, or whose
+    authenticator is not from a driver of the copy's calling service."""
+    op = item.op
+    try:
+        agreed_req = message_from_wire(op["request"])
+        proof = [envelope_from_wire(p) for p in op["proof"]]
+        if not isinstance(agreed_req, OutRequest):
+            return None
+        expected_key = request_match_key(agreed_req)
+        entries = []
+        for envelope in proof:
+            # analysis: allow(WIRE001) — embedded-proof verification:
+            # these envelopes arrive *inside* an agreement payload, not
+            # through a channel, so there is no accept() memo to share
+            copy = decode_message(envelope.payload)
+            if (not isinstance(copy, OutRequest)
+                    or request_match_key(copy) != expected_key):
+                return None
+            sender = envelope.auth.sender
+            index = principal_index(sender)
+            if index is None or sender != driver_name(str(copy.caller), index):
+                return None
+            entries.append((envelope.payload_digest, envelope.auth))
+    except Exception:
+        return None
+    return agreed_req, tuple(entries)
 
 
 class VoterNode(ProtocolNode):
@@ -441,39 +473,22 @@ class VoterNode(ProtocolNode):
                 self._maybe_submit_external(key)
 
     def _validate_request_item(self, item: ClientRequest) -> bool:
-        """Hard validity of a stage-2 agreement item (proof of fc+1 copies)."""
-        op = item.op
-        try:
-            agreed_req = message_from_wire(op["request"])
-            proof = [envelope_from_wire(p) for p in op["proof"]]
-        except Exception:
+        """Hard validity of a stage-2 agreement item (proof of fc+1 copies).
+        The parse is shared per item; this voter's own checks, its MAC
+        entry in every proof envelope included, run on every call."""
+        parsed = _REQUEST_PARSES.get(item, _parse_request_item)
+        if parsed is None:
             return False
-        if not isinstance(agreed_req, OutRequest):
-            return False
+        agreed_req, proof = parsed
         if str(agreed_req.target) != self.service:
             return False
         caller_spec = self.topology.spec_or_none(str(agreed_req.caller))
         if caller_spec is None or len(proof) < caller_spec.f + 1:
             return False
-        expected_key = request_match_key(agreed_req)
         verifier = self._channel.auth_factory
-        senders = set()
-        for envelope in proof:
-            if not verifier.verify(envelope.payload, envelope.auth):
-                return False
-            # analysis: allow(WIRE001) — embedded-proof verification:
-            # these envelopes arrive *inside* an agreement payload, not
-            # through a channel, so there is no accept() memo to share
-            copy = decode_message(envelope.payload)
-            if not isinstance(copy, OutRequest):
-                return False
-            if request_match_key(copy) != expected_key:
-                return False
-            sender = envelope.auth.sender
-            index = principal_index(sender)
-            if index is None or sender != driver_name(str(copy.caller), index):
-                return False
-            senders.add(sender)
+        if not all(verifier.verify_prehashed(d, auth) for d, auth in proof):
+            return False
+        senders = {auth.sender for _, auth in proof}
         return len(senders) >= caller_spec.f + 1
 
     # ------------------------------------------------------------------

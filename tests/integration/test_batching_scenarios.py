@@ -4,7 +4,9 @@ Four pins from the batching tentpole:
 
 - ``batching="off"`` is bit-identical to the pre-batching goldens
   captured from PR 7 (``tests/data/golden_pr7_sim.json``) — every
-  pre-existing counter, every service metric, and the finishing clock;
+  pre-existing counter, every service metric, and the finishing clock
+  (``encode_calls``/``digest_calls`` were refreshed when match keys
+  left the codec; nothing else moved);
 - ``batching="tick"`` on the windowed async workload genuinely
   aggregates (batches on the wire, fewer MAC verifications) while
   completing the identical workload;

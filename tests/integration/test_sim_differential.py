@@ -6,7 +6,9 @@ on the heap (before the per-host ready queue). Only the two counters that
 measure the kernel's own work, ``events_processed`` and
 ``heap_compactions``, are left out. Every other field — per-service
 completions, issue and completion times, the finishing clock, and every
-wire/crypto/codec counter — must match exactly.
+wire/crypto/codec counter — must match exactly. ``encode_calls`` and
+``digest_calls`` were refreshed, and only they, when match keys and the
+reply-voucher MAC input stopped going through the codec.
 
 The windowed two-tier cells are where most handlers wait for a busy host
 CPU, so they are the regime the ready queue changes.

@@ -5,7 +5,7 @@ hand-built envelopes are exactly what WIRE001-003 exist to catch.
 """
 
 from repro.common.encoding import decode_message, encode_message
-from repro.crypto.digest import digest, digest_hex
+from repro.crypto.digest import digest, digest_hex, key_digest
 from repro.transport.wire import WireEnvelope
 
 
@@ -23,6 +23,10 @@ def proof_digest(payload):
 
 def match_key(reply):
     return digest_hex(("reply", reply))  # expect: WIRE002
+
+
+def framed_key(request_id, result):
+    return key_digest("result", request_id, result)  # expect: WIRE002
 
 
 def forge(sender, payload):

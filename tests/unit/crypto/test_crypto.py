@@ -1,18 +1,33 @@
 """Unit tests for keys, MACs, authenticators, digests, and cost models."""
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro.common.errors import AuthenticationError
-from repro.common.ids import voter, driver
+from repro.common.ids import RequestId, ServiceId, voter, driver
 from repro.crypto.auth import Authenticator, AuthenticatorFactory
 from repro.crypto.cost import (
     CryptoCostModel,
     MAC_COST_MODEL,
     SIGNATURE_COST_MODEL,
 )
-from repro.crypto.digest import DIGEST_BYTES, digest, digest_hex
+from repro.crypto.digest import (
+    DIGEST_BYTES,
+    digest,
+    digest_hex,
+    key_bytes,
+    key_digest,
+)
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import MAC_BYTES, compute_mac, verify_mac
+from repro.crypto.mac import (
+    MAC_BYTES,
+    compute_mac,
+    mac_key,
+    mac_over_digest,
+    verify_mac,
+)
 
 
 class TestKeyStore:
@@ -63,6 +78,29 @@ class TestMac:
         key = b"k" * 32
         tag = compute_mac(key, b"payload")
         assert not verify_mac(key, b"payload", tag[:-1])
+
+
+class TestMacKeySchedule:
+    @pytest.mark.parametrize("length", range(1, 131))
+    def test_schedule_matches_stdlib_hmac(self, length):
+        # Lengths past the 64-byte SHA-256 block take the hashed-key path.
+        key = bytes((7 * i + length) % 256 for i in range(length))
+        data_digest = hashlib.sha256(b"payload %d" % length).digest()
+        expected = hmac.digest(key, data_digest, "sha256")[:MAC_BYTES]
+        assert mac_over_digest(mac_key(key), data_digest) == expected
+
+    def test_schedule_is_reusable(self):
+        schedule = mac_key(b"k" * 32)
+        first = mac_over_digest(schedule, b"a" * 32)
+        mac_over_digest(schedule, b"b" * 32)
+        assert mac_over_digest(schedule, b"a" * 32) == first
+
+    def test_compute_mac_is_hmac_over_the_digest(self):
+        key = b"k" * 32
+        expected = hmac.digest(
+            key, hashlib.sha256(b"payload").digest(), "sha256"
+        )[:MAC_BYTES]
+        assert compute_mac(key, b"payload") == expected
 
 
 class TestAuthenticator:
@@ -119,6 +157,34 @@ class TestDigest:
 
     def test_hex_matches(self):
         assert digest_hex("x") == digest("x").hex()
+
+
+class TestKeyDigest:
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (("ab", "c"), ("a", "bc")),
+            (("x",), (b"x",)),
+            ((ServiceId("a"),), ("a",)),
+            ((True,), (1,)),
+            ((None,), ("null",)),
+            ((RequestId(ServiceId("a"), 1),), (ServiceId("a"), 1)),
+            ((1,), ("1",)),
+            (("a",), ("a", "")),
+        ],
+    )
+    def test_injective_on_boundaries(self, left, right):
+        assert key_bytes(*left) != key_bytes(*right)
+        assert key_digest(*left) != key_digest(*right)
+
+    def test_stable_and_sized(self):
+        parts = ("result", RequestId(ServiceId("s"), 3), {"v": [1, 2]}, False)
+        assert key_digest(*parts) == key_digest(*parts)
+        assert len(key_digest(*parts)) == DIGEST_BYTES
+
+    def test_digest_is_sha256_of_framing(self):
+        parts = ("out-request", b"\x00\xff", 12)
+        assert key_digest(*parts) == hashlib.sha256(key_bytes(*parts)).digest()
 
 
 class TestCostModels:

@@ -211,3 +211,78 @@ class TestBatchValidation:
         )
         item = request_item(message_to_wire(request), [])
         assert voter._validate_batch((item,)) == "reject"
+
+
+def _caller_request(payload=b"p"):
+    return OutRequest(
+        request_id=RequestId(ServiceId("caller"), 1),
+        caller=ServiceId("caller"),
+        target=ServiceId("svc"),
+        payload=payload,
+        responder_index=0,
+    )
+
+
+def _request_item(keys, agreed, copies):
+    """Stage-2 item for ``agreed`` whose proof holds one envelope per
+    ``(calling driver index, copy)``, each MAC'd for every target voter."""
+    audience = [voter_name("svc", i) for i in range(4)]
+    proof = []
+    for driver_index, copy in copies:
+        payload = canonical_encode(message_to_wire(copy))
+        auth = AuthenticatorFactory(keys, f"caller/d{driver_index}").sign(
+            payload, audience
+        )
+        proof.append(envelope_to_wire(WireEnvelope(payload=payload, auth=auth)))
+    return request_item(message_to_wire(agreed), proof)
+
+
+def _voter_with_keys(topology, keys, index=1):
+    sim = Simulator()
+    sim.set_network(UniformLatency(0))
+    voter = VoterNode(topology=topology, service="svc", index=index, keys=keys)
+    voter.attach(sim.add_node(voter_name("svc", index), voter))
+    return voter
+
+
+class TestSharedRequestParse:
+    """The stage-2 proof parse is shared per item object; every voter's
+    MAC verdict is its own."""
+
+    def test_foreign_root_secret_rejects_item_another_voter_accepted(self, setup):
+        topology, keys, __, voters = setup
+        request = _caller_request()
+        item = _request_item(keys, request, [(0, request), (1, request)])
+        assert voters[1]._validate_batch((item,)) == "accept"
+        rogue = _voter_with_keys(topology, KeyStore(b"some-other-root-secret"))
+        assert rogue._validate_batch((item,)) == "reject"
+        # ...and the shared parse did not poison the correct voters.
+        assert voters[2]._validate_batch((item,)) == "accept"
+
+    def test_foreign_root_secret_rejection_does_not_stick(self, setup):
+        topology, keys, __, voters = setup
+        request = _caller_request()
+        item = _request_item(keys, request, [(0, request), (1, request)])
+        rogue = _voter_with_keys(topology, KeyStore(b"some-other-root-secret"))
+        assert rogue._validate_batch((item,)) == "reject"
+        assert voters[1]._validate_batch((item,)) == "accept"
+
+    def test_proof_copy_with_other_payload_rejects(self, setup):
+        __, keys, __, voters = setup
+        request = _caller_request()
+        good = _request_item(keys, request, [(0, request), (1, request)])
+        assert voters[1]._validate_batch((good,)) == "accept"
+        forged = _caller_request(payload=b"not-what-was-agreed")
+        bad = _request_item(keys, request, [(0, request), (1, forged)])
+        for voter in voters[1:]:
+            assert voter._validate_batch((bad,)) == "reject"
+
+    def test_proof_from_too_few_distinct_drivers_rejects(self, setup):
+        __, keys, __, voters = setup
+        request = _caller_request()
+        good = _request_item(keys, request, [(0, request), (1, request)])
+        assert voters[1]._validate_batch((good,)) == "accept"
+        # fc + 1 = 2 envelopes, both from calling driver 0.
+        bad = _request_item(keys, request, [(0, request), (0, request)])
+        for voter in voters[1:]:
+            assert voter._validate_batch((bad,)) == "reject"

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Pre-merge gate: static analysis clean, docs in sync, then tier-1 and the
-# net-marked socket tests pass, and a short sim-window benchmark run keeps
-# its reply check and its identical-op-counts-every-round check.
+# net-marked socket tests pass, a short sim-window benchmark run keeps
+# its reply check and its identical-op-counts-every-round check, and a
+# short asyncio-sync run keeps the live path's reply check.
 # Run from the repo root:  sh tools/check.sh
 # Fast mode (analysis + docs + unit tests only, skips integration and net):
 #   sh tools/check.sh --fast
@@ -33,6 +34,8 @@ else
     python -m pytest -q -m net
     echo "== perfbench sim-window smoke (replies + repeatable op counts) =="
     python3 perfbench/run.py --workload sim-window --seed 1 --seconds 3 --trace 0
+    echo "== perfbench asyncio-sync smoke (live-path replies) =="
+    python3 perfbench/run.py --workload asyncio-sync --seed 1 --seconds 3 --trace 0
 fi
 
 echo "== all gates passed =="
